@@ -25,8 +25,8 @@ Stages the lifecycle the workload advisor exists for, on TPC-H data:
    regression.
 5. **Advice + apply** — the advisor now holds all three recommendation
    kinds (re-ANALYZE, index, plan regression); applying the actionable
-   ones re-ANALYZEs the drifted tables (bumping the catalog version,
-   so every cached plan recompiles) and purges the regressed
+   ones re-ANALYZEs the drifted tables (stamping their statistics, so
+   every cached plan over them recompiles) and purges the regressed
    fingerprint's cached plans.
 6. **Recovered phase** — the mix runs again; Q-errors collapse back
    toward 1 and latency returns to the baseline's neighbourhood.
@@ -81,12 +81,14 @@ WHERE (s_suppkey = l_suppkey
 
 
 def _phase_metrics(latencies: Dict[int, List[float]],
-                   worst_q: Dict[int, List[float]]) -> dict:
+                   worst_q: Dict[int, List[float]],
+                   plan_hashes: Dict[int, set]) -> dict:
     """Per-query and suite-level latency/quality summary of one phase."""
     per_query = {}
     for number in sorted(latencies):
         samples = sorted(latencies[number])
         per_query[str(number)] = {
+            "plan_hashes": sorted(plan_hashes[number]),
             "runs": len(samples),
             "min_seconds": samples[0] if samples else 0.0,
             "median_seconds": _median(samples),
@@ -112,6 +114,7 @@ def _run_mix(db: Database, runs_per_query: int,
              label: str = "") -> dict:
     latencies: Dict[int, List[float]] = {}
     worst_q: Dict[int, List[float]] = {}
+    plan_hashes: Dict[int, set] = {}
     for number in DRIFT_MIX:
         sql = TPCH_QUERIES[number]
         for __ in range(runs_per_query):
@@ -121,11 +124,12 @@ def _run_mix(db: Database, runs_per_query: int,
             quality = result.plan_quality
             worst_q.setdefault(number, []).append(
                 quality.max_q if quality is not None else 1.0)
+            plan_hashes.setdefault(number, set()).add(result.plan_hash)
         if progress is not None:
             progress(f"{label} Q{number}: median "
                      f"{_median(latencies[number]) * 1000:.2f} ms, "
                      f"median max-q {_median(worst_q[number]):.1f}")
-    return _phase_metrics(latencies, worst_q)
+    return _phase_metrics(latencies, worst_q, plan_hashes)
 
 
 def _load_fraction(db: Database, data: Dict[str, List[tuple]],

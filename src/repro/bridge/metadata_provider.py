@@ -15,11 +15,17 @@ executable metadata, stubs are returned (:meth:`get_function_pointer`).
 
 Request counters expose how often each API is hit, which the tests use to
 verify Orca's metadata cache actually prevents repeated requests.
+
+One provider serves a :class:`repro.database.Database` for its whole
+life (so does the cache in front of it, :mod:`repro.orca.mdcache`).
+Relation OIDs are therefore assigned in the order tables are first
+requested across statements; nothing in plan choice depends on their
+numeric order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.bridge import dxl, oid_layout
 from repro.catalog.catalog import Catalog
@@ -28,13 +34,44 @@ from repro.mysql_types import MySQLType, TypeCategory, TypeInstance
 from repro.sql import ast
 
 
-class MySQLMetadataProvider:
-    """Serves MySQL dictionary objects to Orca over DXL."""
+def expression_signature(expr: ast.Expr) -> Optional[Tuple]:
+    """What an expression's OID is a function of, or None if it has none.
 
-    def __init__(self, catalog: Catalog, fault_injector=None,
+    A comparison or arithmetic node's OID is fixed by its operator and
+    the type categories of its operands, an aggregate's by its function
+    and argument category — the coordinates of the cube scheme of
+    Section 5.2.  Orca's metadata cache keys operator metadata by this
+    signature.
+    """
+    from repro.sql.blocks import infer_type
+
+    if isinstance(expr, ast.BinaryExpr):
+        if expr.op in ast.COMPARISON_OPS or expr.op in ast.ARITHMETIC_OPS:
+            return (expr.op, infer_type(expr.left).category,
+                    infer_type(expr.right).category)
+        return None
+    if isinstance(expr, ast.AggCall):
+        if expr.star:
+            return (expr.func, TypeCategory.STAR)
+        if expr.func is ast.AggFunc.COUNT:
+            return (expr.func, TypeCategory.ANY)
+        return (expr.func, infer_type(expr.arg).category)
+    return None
+
+
+class MySQLMetadataProvider:
+    """Serves MySQL dictionary objects to Orca over DXL.
+
+    ``config`` is the owning database's configuration; its
+    ``fault_injector`` is read on every request, so an injector armed
+    after the provider was built still reaches the ``metadata_provider``
+    site.
+    """
+
+    def __init__(self, catalog: Catalog, config=None,
                  metrics=None) -> None:
         self.catalog = catalog
-        self.fault_injector = fault_injector
+        self.config = config
         #: Optional :class:`repro.observability.MetricsRegistry`; every
         #: provider request is counted as ``metadata.requests`` so the
         #: per-statement report shows how often Orca's cache missed all
@@ -52,6 +89,14 @@ class MySQLMetadataProvider:
         if self.metrics is not None:
             self.metrics.inc("metadata.requests")
             self.metrics.inc(f"metadata.requests.{api}")
+
+    def _dictionary_request(self, api: str) -> None:
+        """Count a request that reads the data dictionary and pass
+        through the ``metadata_provider`` injection site."""
+        self._count(api)
+        injector = getattr(self.config, "fault_injector", None)
+        if injector is not None:
+            injector.fire("metadata_provider")
 
     # -- relation OIDs -------------------------------------------------------------
 
@@ -72,9 +117,7 @@ class MySQLMetadataProvider:
         This is the converter's "typical interaction" from Section 5.7:
         send 'tpch.lineitem', receive the table's unique OID.
         """
-        self._count("table_oid")
-        if self.fault_injector is not None:
-            self.fault_injector.fire("metadata_provider")
+        self._dictionary_request("table_oid")
         name = qualified_name.rsplit(".", 1)[-1]
         return oid_layout.relation_oid(self._relation_index_for(name))
 
@@ -113,7 +156,7 @@ class MySQLMetadataProvider:
 
     def get_relation_dxl(self, oid: int) -> str:
         """Relation metadata (name, columns, types, indexes) as DXL."""
-        self._count("relation_dxl")
+        self._dictionary_request("relation_dxl")
         name = self._relation_name_for_oid(oid)
         index = self._relation_index_for(name)
         schema = self.catalog.table(name)
@@ -129,7 +172,7 @@ class MySQLMetadataProvider:
         Histograms for UNIQUE columns are included — the restriction MySQL
         normally applies was lifted for the integration (Section 5.5).
         """
-        self._count("statistics_dxl")
+        self._dictionary_request("statistics_dxl")
         relation_index, kind, __ = oid_layout.decode_relation_oid(oid)
         if kind == "relation":
             stats_oid = oid_layout.statistics_oid(relation_index)
@@ -173,25 +216,17 @@ class MySQLMetadataProvider:
 
     def get_expression_oid(self, expr: ast.Expr) -> int:
         """OID of a binary expression node, classified by operand types."""
-        from repro.sql.blocks import infer_type
-
         self._count("expression_oid")
-        if isinstance(expr, ast.BinaryExpr):
-            left = infer_type(expr.left).category
-            right = infer_type(expr.right).category
-            if expr.op in ast.COMPARISON_OPS:
-                return oid_layout.comparison_oid(left, right, expr.op)
-            if expr.op in ast.ARITHMETIC_OPS:
-                return oid_layout.arithmetic_oid(left, right, expr.op)
-        if isinstance(expr, ast.AggCall):
-            if expr.star:
-                return oid_layout.aggregate_oid(TypeCategory.STAR,
-                                                expr.func)
-            if expr.func is ast.AggFunc.COUNT:
-                return oid_layout.aggregate_oid(TypeCategory.ANY, expr.func)
-            category = infer_type(expr.arg).category
-            return oid_layout.aggregate_oid(category, expr.func)
-        return oid_layout.INVALID_OID
+        signature = expression_signature(expr)
+        if signature is None:
+            return oid_layout.INVALID_OID
+        if len(signature) == 2:
+            func, category = signature
+            return oid_layout.aggregate_oid(category, func)
+        op, left, right = signature
+        if op in ast.COMPARISON_OPS:
+            return oid_layout.comparison_oid(left, right, op)
+        return oid_layout.arithmetic_oid(left, right, op)
 
     # -- functions (Section 5.4) -------------------------------------------------------------
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.bridge.oid_layout import INVALID_OID
 from repro.errors import OrcaFallbackError
 from repro.orca.mdcache import MDAccessor
 from repro.orca.operators import (
@@ -233,17 +232,12 @@ class ParseTreeConverter:
 
     def _annotate(self, expr: ast.Expr) -> None:
         """Attach expression OIDs (and commutators/inverses) to a tree."""
-        provider = self.accessor.provider
         for node in expr.walk():
             if isinstance(node, (ast.BinaryExpr, ast.AggCall)):
                 key = expr_key(node)
                 if key in self.expression_oids:
                     node.mdid = self.expression_oids[key][0]
                     continue
-                oid = provider.get_expression_oid(node)
-                commutator = provider.get_commutator_oid(oid) \
-                    if oid != INVALID_OID else INVALID_OID
-                inverse = provider.get_inverse_oid(oid) \
-                    if oid != INVALID_OID else INVALID_OID
-                self.expression_oids[key] = (oid, commutator, inverse)
-                node.mdid = oid
+                oids = self.accessor.expression_oids(node)
+                self.expression_oids[key] = oids
+                node.mdid = oids[0]

@@ -15,6 +15,11 @@ The router implements the paper's conservative policy:
   caller "resorts to the usual MySQL query optimization" — the outcome
   (reason + error details) is reported so the facade can log it and
   feed the circuit breaker.
+
+Every detour reads metadata through one :class:`MDAccessor` that
+outlives it: the Database passes its own, so the cache lives as long as
+the Database (Section 5.7); a router built without one creates one for
+its own lifetime.
 """
 
 from __future__ import annotations
@@ -54,7 +59,8 @@ class OrcaRouter:
 
     def __init__(self, catalog: Catalog, config,
                  orca_config: Optional[OrcaConfig] = None,
-                 tracer=None, metrics=None, governor=None) -> None:
+                 tracer=None, metrics=None, governor=None,
+                 accessor: Optional[MDAccessor] = None) -> None:
         self.catalog = catalog
         self.config = config
         #: Per-statement :class:`repro.governor.ExecutionGovernor` (or
@@ -83,7 +89,15 @@ class OrcaRouter:
         #: memo_search, plan_convert, metadata_lookup).
         self.tracer = tracer
         self.metrics = metrics
-        #: Populated on every successful optimization, for observability.
+        if accessor is None:
+            accessor = MDAccessor(
+                MySQLMetadataProvider(catalog, config=config,
+                                      metrics=metrics),
+                metrics=metrics,
+                capacity=getattr(config, "mdcache_capacity", None))
+        #: The metadata cache every detour of this router reads through.
+        self.accessor = accessor
+        #: Populated on every optimization, for observability.
         self.last_provider: Optional[MySQLMetadataProvider] = None
         self.last_accessor: Optional[MDAccessor] = None
         self.last_converter: Optional[ParseTreeConverter] = None
@@ -125,20 +139,18 @@ class OrcaRouter:
             budget = self.governor.cap_compile_budget(budget)
             self.governor.checkpoint(stage="orca_detour")
         injector = getattr(self.config, "fault_injector", None)
-        provider = MySQLMetadataProvider(self.catalog,
-                                         fault_injector=injector,
-                                         metrics=self.metrics)
-        accessor = MDAccessor(provider, tracer=self.tracer,
-                              metrics=self.metrics,
-                              capacity=getattr(self.config,
-                                               "mdcache_capacity", None))
+        accessor = self.accessor
+        # The cache outlives the detour; its lookups trace into this
+        # statement, and a capacity changed at runtime still bounds it.
+        accessor.tracer = self.tracer
+        accessor.resize(getattr(self.config, "mdcache_capacity", None))
         converter = ParseTreeConverter(accessor, fault_injector=injector,
                                        tracer=self.tracer)
         estimator = SelectivityEstimator(accessor, use_histograms=True)
         optimizer = OrcaOptimizer(estimator, self.orca_config,
                                   budget=budget, fault_injector=injector,
                                   tracer=self.tracer, metrics=self.metrics)
-        self.last_provider = provider
+        self.last_provider = accessor.provider
         self.last_accessor = accessor
         self.last_converter = converter
 

@@ -9,11 +9,27 @@ needs only metadata and statistics.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, NamedTuple, Optional
 
 from repro.catalog.schema import TableSchema
 from repro.catalog.statistics import TableStatistics
 from repro.errors import CatalogError
+
+
+class TableVersions(NamedTuple):
+    """The change stamps of one table.
+
+    Every stamp is drawn from the catalog-wide :attr:`Catalog.version`
+    counter, so a stamp is never reused: a table dropped and re-created
+    under the same name gets stamps no cache entry can have recorded.
+    """
+
+    #: Last CREATE of the table (DDL).
+    schema: int
+    #: Last ANALYZE / :meth:`Catalog.set_statistics` (or the CREATE).
+    stats: int
+    #: Last write to the table's rows (INSERT, UPDATE, DELETE, load).
+    data: int
 
 
 class Catalog:
@@ -23,6 +39,7 @@ class Catalog:
         self.default_schema = schema
         self._tables: Dict[str, TableSchema] = {}
         self._statistics: Dict[str, TableStatistics] = {}
+        self._versions: Dict[str, TableVersions] = {}
         self._version = 0
 
     # -- versioning ---------------------------------------------------------
@@ -30,13 +47,30 @@ class Catalog:
     @property
     def version(self) -> int:
         """A counter bumped by every DDL, ANALYZE, and (via the storage
-        engine) DML change.  The statement plan cache records the version
-        each plan was compiled against and invalidates on mismatch."""
+        engine) write.  It is the source of the per-table stamps
+        (:meth:`table_versions`); the caches validate against those, so
+        a change to one table never invalidates what another table's
+        metadata or plans were built from."""
         return self._version
 
     def bump_version(self) -> int:
         self._version += 1
         return self._version
+
+    def table_versions(self, name: str) -> Optional[TableVersions]:
+        """The table's change stamps, or None when no such table exists."""
+        return self._versions.get(name.lower())
+
+    def record_write(self, name: str) -> None:
+        """Stamp a write to the table's rows.
+
+        Writes leave the schema and statistics stamps alone: statistics
+        change only through ANALYZE, so Orca's metadata cache survives
+        DML, while a cached plan that reads the table recompiles.
+        """
+        key = name.lower()
+        self._versions[key] = self._versions[key]._replace(
+            data=self.bump_version())
 
     # -- tables -------------------------------------------------------------
 
@@ -46,7 +80,8 @@ class Catalog:
             raise CatalogError(f"table {table.name!r} already exists")
         self._tables[key] = table
         self._statistics[key] = TableStatistics()
-        self.bump_version()
+        stamp = self.bump_version()
+        self._versions[key] = TableVersions(stamp, stamp, stamp)
 
     def drop_table(self, name: str) -> None:
         key = name.lower()
@@ -54,6 +89,7 @@ class Catalog:
             raise CatalogError(f"unknown table {name!r}")
         del self._tables[key]
         del self._statistics[key]
+        del self._versions[key]
         self.bump_version()
 
     def table(self, name: str) -> TableSchema:
@@ -81,5 +117,7 @@ class Catalog:
 
     def set_statistics(self, name: str, statistics: TableStatistics) -> None:
         self.table(name)
-        self._statistics[name.lower()] = statistics
-        self.bump_version()
+        key = name.lower()
+        self._statistics[key] = statistics
+        self._versions[key] = self._versions[key]._replace(
+            stats=self.bump_version())

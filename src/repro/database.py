@@ -30,6 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.bridge.metadata_provider import MySQLMetadataProvider
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import TableSchema
 from repro.errors import (
@@ -61,6 +62,7 @@ from repro.observability import (
 )
 from repro.orca.joinorder import JoinSearchMode
 from repro.orca.largejoin import STRATEGY_POLICIES
+from repro.orca.mdcache import MDAccessor
 from repro.plan_cache import (
     PlanCache,
     PlanCacheEntry,
@@ -170,7 +172,8 @@ class DatabaseConfig:
     #: order; larger ones, greedy operator ordering.
     orca_lindp_threshold: int = 12
     orca_goo_threshold: int = 25
-    #: Per-kind LRU capacity of the Orca metadata cache.
+    #: Per-kind LRU capacity of the Orca metadata cache (read at every
+    #: detour, so changing it at runtime re-bounds the live cache).
     mdcache_capacity: int = 1024
     #: Execution engine: "batch" runs the vectorized batch-at-a-time
     #: executor with compiled expressions (statements whose plans it
@@ -239,8 +242,8 @@ class DatabaseConfig:
     workload_regression_min_samples: int = 3
     #: Opt-in apply hook: every ``advisor_interval_statements``
     #: statements, pending re-ANALYZE recommendations are applied
-    #: automatically (ANALYZE bumps the catalog version, so cached
-    #: plans recompile against the fresh statistics).
+    #: automatically (ANALYZE stamps the table's statistics, so cached
+    #: plans that read it recompile against the fresh statistics).
     advisor_auto_analyze: bool = False
     #: Statements between auto-apply sweeps.
     advisor_interval_statements: int = 32
@@ -430,8 +433,9 @@ class Database:
             threshold=self.config.circuit_breaker_threshold,
             reset_seconds=self.config.circuit_breaker_reset_seconds)
         #: Statement plan cache, keyed by literal-preserving statement
-        #: digest and validated against the catalog version (DDL, DML,
-        #: and ANALYZE all invalidate).
+        #: digest; an entry is validated against the change stamps of
+        #: the tables its plan reads (DDL, DML, or ANALYZE of one of
+        #: them invalidates it, a change to any other table does not).
         self.plan_cache = PlanCache(
             capacity=self.config.plan_cache_capacity,
             metrics=self.metrics)
@@ -471,9 +475,17 @@ class Database:
         #: ParallelContext of the most recent statement that actually
         #: ran a parallel operator — ``db.top()``'s worker section.
         self._last_parallel = None
+        #: Orca's metadata cache (Section 5.7), in front of the one
+        #: metadata provider: every detour reads through it, and its
+        #: entries are re-fetched only after a DDL or ANALYZE of their
+        #: table (see :mod:`repro.orca.mdcache`).
+        self.md_accessor = MDAccessor(
+            MySQLMetadataProvider(self.catalog, config=self.config,
+                                  metrics=self.metrics),
+            metrics=self.metrics, capacity=self.config.mdcache_capacity)
         #: The router of the most recent Orca detour, kept so callers can
-        #: inspect its bridge components (e.g. ``last_accessor.stats()``
-        #: for the metadata-cache hit ratio of one statement).
+        #: inspect its bridge components (``last_accessor`` is
+        #: :attr:`md_accessor`).
         self.last_router = None
         #: In-flight statements: statement_id -> (sql, governor).  The
         #: registry exists so ``cancel(statement_id)`` can reach a
@@ -612,7 +624,8 @@ class Database:
                 return None, FallbackReason.CIRCUIT_OPEN
             router = OrcaRouter(self.catalog, self.config,
                                 tracer=self.tracer, metrics=self.metrics,
-                                governor=governor)
+                                governor=governor,
+                                accessor=self.md_accessor)
             self.last_router = router
             self.fallback_log.record_detour_entry()
             outcome = router.optimize_guarded(stmt, block, context)
@@ -850,7 +863,7 @@ class Database:
             self.config.plan_cache_enabled
         cache_key = statement_cache_key(sql, optimizer)
         cached = self.plan_cache.lookup(
-            cache_key, self.catalog.version) if cache_enabled else None
+            cache_key, self.catalog) if cache_enabled else None
         fallback_reason: Optional[FallbackReason] = None
         if cached is not None:
             # Hit: the refined executable plan is reused as-is; the
@@ -914,7 +927,9 @@ class Database:
                 executor=executor,
                 skeleton=skeleton,
                 optimizer_used=used,
-                catalog_version=self.catalog.version,
+                table_versions={
+                    name: self.catalog.table_versions(name)
+                    for name in skeleton.context.base_tables()},
                 fingerprint=statement_fingerprint(sql)))
         if mode == "batch" and executor.last_mode == "row":
             # The batch engine refused this plan; record the

@@ -22,11 +22,15 @@ never share an entry.  The requested optimizer (``auto`` / ``mysql`` /
 ``orca``) is part of the key too, since it changes routing and thus the
 plan.
 
-Every entry records the catalog version it was compiled against
-(:attr:`repro.catalog.catalog.Catalog.version`).  DDL, ANALYZE, and DML
-all bump that counter, so a lookup that finds an entry compiled against
-an older version drops it and counts an *invalidation* — the plan may
-reference dropped tables, stale statistics, or pre-DML row counts.
+Every entry records the change stamps of each base table its plan
+reads — through subqueries, derived tables and CTEs too
+(:class:`repro.catalog.catalog.TableVersions`).  DDL, ANALYZE, and DML
+stamp the table they touch, so a lookup that finds an entry whose
+tables changed since it was compiled drops it and counts an
+*invalidation* — the plan may reference a dropped table, stale
+statistics, or pre-DML row counts.  A change to a table the plan does
+not read leaves the entry alone: a write to ``orders`` does not drop
+the plan of a query over ``lineitem`` alone.
 
 Failed detours are never cached: the Database facade only stores a plan
 when compilation finished without a fallback, so circuit-broken
@@ -58,7 +62,7 @@ import hashlib
 import re
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional
 
 #: Default number of cached statements; each entry holds one executor
 #: tree, so a few hundred is plenty for a benchmark-sized workload.
@@ -92,18 +96,24 @@ class PlanCacheEntry:
     skeleton: object
     #: Which optimizer produced the plan ("orca" or "mysql").
     optimizer_used: str
-    #: Catalog version the plan was compiled against; a lookup under a
-    #: newer version invalidates the entry.
-    catalog_version: int
+    #: Change stamps of every base table the plan reads, by lower-cased
+    #: name; a lookup after any of them changed invalidates the entry.
+    table_versions: Mapping[str, object]
     #: The resilience fingerprint of the statement (literal-normalised),
     #: kept so reports can correlate cache entries with fallback history.
     fingerprint: Optional[str] = None
     #: How many times this entry has been served.
     hits: int = 0
 
+    def is_current(self, catalog) -> bool:
+        """True while no table the plan reads has changed (or gone)."""
+        versions = catalog.table_versions
+        return all(versions(name) == stamps
+                   for name, stamps in self.table_versions.items())
+
 
 class PlanCache:
-    """An LRU statement plan cache with version-based invalidation."""
+    """An LRU statement plan cache with per-table version invalidation."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY,
                  metrics=None) -> None:
@@ -132,16 +142,15 @@ class PlanCache:
 
     # -- cache protocol ---------------------------------------------------------
 
-    def lookup(self, key: str,
-               catalog_version: int) -> Optional[PlanCacheEntry]:
+    def lookup(self, key: str, catalog) -> Optional[PlanCacheEntry]:
         """The entry for ``key``, or None on a miss.
 
-        An entry compiled against an older catalog version is dropped
-        (counted as an invalidation *and* a miss — the statement will
-        recompile and re-store).
+        An entry one of whose tables changed in ``catalog`` since it was
+        compiled is dropped (counted as an invalidation *and* a miss —
+        the statement will recompile and re-store).
         """
         entry = self._entries.get(key)
-        if entry is not None and entry.catalog_version != catalog_version:
+        if entry is not None and not entry.is_current(catalog):
             del self._entries[key]
             self._count("invalidations")
             entry = None

@@ -253,6 +253,14 @@ class StatementContext:
     def entry_count(self) -> int:
         return len(self._entries)
 
+    def base_tables(self) -> List[str]:
+        """Lower-cased names of the base tables the statement reads, in
+        every block (subqueries, derived tables and CTEs included)."""
+        return sorted({entry.table_schema.name.lower()
+                       for entry in self._entries
+                       if entry.kind is EntryKind.BASE
+                       and entry.table_schema is not None})
+
     @property
     def blocks(self) -> List[QueryBlock]:
         return list(self._blocks)

@@ -115,8 +115,10 @@ class StorageEngine:
     def load_rows(self, table_name: str, rows: Sequence[Sequence]) -> None:
         """Bulk-load rows, then rebuild the table's indexes.
 
-        Bumps the catalog version: cached plans were costed against the
-        old row counts, so INSERT (and bulk loads) invalidate them.
+        Stamps a write on the table (:meth:`Catalog.record_write`):
+        cached plans that read it were built against the old rows and
+        recompile; plans over other tables and Orca's metadata cache
+        (statistics change only through ANALYZE) are left alone.
         """
         heap = self.heap(table_name)
         before = len(heap.rows)
@@ -128,13 +130,13 @@ class StorageEngine:
             store.append_rows(heap.rows[before:])
         for index in self._indexes[table_name.lower()].values():
             index.build()
-        self.catalog.bump_version()
+        self.catalog.record_write(table_name)
 
     def replace_rows(self, table_name: str,
                      rows: Sequence[Sequence]) -> None:
         """Replace the table's contents (DELETE/UPDATE rewrite the heap).
 
-        Bumps the catalog version so cached statement plans invalidate.
+        Stamps a write on the table, like :meth:`load_rows`.
         """
         heap = self.heap(table_name)
         heap.rows = [tuple(row) for row in rows]
@@ -143,7 +145,7 @@ class StorageEngine:
             store.rebuild(heap.rows)
         for index in self._indexes[table_name.lower()].values():
             index.build()
-        self.catalog.bump_version()
+        self.catalog.record_write(table_name)
 
     # -- access ---------------------------------------------------------------
 

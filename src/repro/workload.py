@@ -734,8 +734,9 @@ class Advisor:
         """Apply actionable advice; returns one action record each.
 
         ``reanalyze`` runs ANALYZE (with histograms) on the table —
-        which also bumps the catalog version, so every cached plan
-        recompiles against the fresh statistics.  ``plan_regression``
+        which also stamps its statistics, so every cached plan that
+        reads it, and Orca's cached statistics for it, are rebuilt
+        from the fresh statistics.  ``plan_regression``
         purges the fingerprint's cached plans and marks the regression
         handled.  ``index`` advice is never auto-applied.
         """

@@ -42,13 +42,18 @@ class TestDriftRecovery:
                 f"recovered {row['recovered_max_q']:.1f}")
 
     def test_recovered_latency_near_baseline(self, payload):
-        # Loose tier-1 gate on summed per-query *minima* — the noise
-        # floor, robust to load spikes from neighbouring tests (at this
-        # scale medians/p95s sit at single milliseconds; the bench
-        # artifact gates p95 at 1.2x at full scale).
-        baseline = payload["baseline"]["suite_min_seconds"]
-        recovered = payload["recovered"]["suite_min_seconds"]
-        assert recovered <= 1.5 * baseline
+        # Recovery, checked deterministically: after re-ANALYZE every
+        # query runs the very plan the fresh-stats baseline ran, with
+        # the same worst-node Q-error, so its latency is the baseline's
+        # by construction.  (The wall-clock gate — recovered p95 within
+        # 1.2x of baseline at bench scale — lives in BENCH_advisor.)
+        for number in payload["mix"]:
+            key = str(number)
+            baseline = payload["baseline"]["queries"][key]
+            recovered = payload["recovered"]["queries"][key]
+            assert recovered["plan_hashes"] == baseline["plan_hashes"], \
+                f"Q{number} did not return to its fresh-stats plan"
+            assert recovered["max_q_median"] == baseline["max_q_median"]
 
 
 class TestRegressionHygiene:

@@ -221,8 +221,13 @@ class TestMetricsRegistry:
 class TestPipelineTracing:
 
     def test_traced_join_covers_every_stage(self, loaded_db):
-        # Bypass the plan cache: this test wants the full pipeline's spans,
-        # not the shortened hit path.
+        # ANALYZE stamps every table's statistics, so the next detour
+        # must re-read them through the provider (metadata_lookup
+        # spans); the metadata cache outlives the statement, so the
+        # detour after that is served from it entirely.  Bypass the
+        # plan cache: this test wants the full pipeline's spans, not
+        # the shortened hit path.
+        loaded_db.analyze()
         result = loaded_db.run(JOIN_SQL, trace=True, use_plan_cache=False)
         assert result.optimizer_used == "orca"
         root = result.trace
@@ -233,6 +238,13 @@ class TestPipelineTracing:
                          "parse_tree_convert", "memo_search",
                          "plan_convert", "refine", "execute"):
             assert required in names, f"missing span {required}"
+        hits = loaded_db.metrics.count("mdcache.hits")
+        warm = loaded_db.run(JOIN_SQL, trace=True, use_plan_cache=False)
+        assert warm.optimizer_used == "orca"
+        warm_names = {span.name for span in warm.trace.walk()}
+        assert "metadata_lookup" not in warm_names
+        assert "memo_search" in warm_names
+        assert loaded_db.metrics.count("mdcache.hits") > hits
         for span in root.walk():
             assert span.closed
             assert span.duration >= 0.0

@@ -2,15 +2,19 @@
 
 Tentpole coverage for the optimize-stage cost work: a repeated
 statement is served from the cache (no memo search in its trace, same
-rows), every write path — INSERT, UPDATE, DELETE, and ANALYZE —
-invalidates, ``use_plan_cache=False`` bypasses, failed detours are
-never cached, and the branch-and-bound pruning in Orca's DP join
-search picks a plan of exactly the same cost as the unpruned search.
+rows), every write path — INSERT, UPDATE, DELETE, ANALYZE, and DDL —
+on a table the plan reads invalidates, ``use_plan_cache=False``
+bypasses, failed detours are never cached, and the branch-and-bound
+pruning in Orca's DP join search picks a plan of exactly the same cost
+as the unpruned search.
 """
 
 import pytest
 
 from repro import Database, DatabaseConfig, FallbackReason, FaultInjector
+from repro.catalog.catalog import Catalog
+from repro.catalog.schema import Column, TableSchema
+from repro.mysql_types import MySQLType
 from repro.observability import find_spans
 from repro.plan_cache import PlanCache, PlanCacheEntry, statement_cache_key
 from repro.resilience import statement_fingerprint
@@ -63,38 +67,55 @@ class TestStatementCacheKey:
 # -- the cache data structure -------------------------------------------------------
 
 
-def _entry(version: int = 0) -> PlanCacheEntry:
-    return PlanCacheEntry(executor=object(), skeleton=object(),
-                          optimizer_used="orca", catalog_version=version)
+def _catalog() -> Catalog:
+    catalog = Catalog()
+    for name in ("t", "u"):
+        catalog.create_table(
+            TableSchema(name, [Column.of("a", MySQLType.LONG)]))
+    return catalog
+
+
+def _entry(catalog: Catalog, tables=("t",)) -> PlanCacheEntry:
+    return PlanCacheEntry(
+        executor=object(), skeleton=object(), optimizer_used="orca",
+        table_versions={name: catalog.table_versions(name)
+                        for name in tables})
 
 
 class TestPlanCacheLRU:
 
     def test_lru_eviction_and_counters(self):
+        catalog = _catalog()
         cache = PlanCache(capacity=2)
-        cache.store("a", _entry())
-        cache.store("b", _entry())
-        assert cache.lookup("a", 0) is not None  # "b" is now LRU
-        cache.store("c", _entry())
+        cache.store("a", _entry(catalog))
+        cache.store("b", _entry(catalog))
+        assert cache.lookup("a", catalog) is not None  # "b" is now LRU
+        cache.store("c", _entry(catalog))
         assert cache.evictions == 1
-        assert cache.lookup("b", 0) is None
-        assert cache.lookup("a", 0) is not None
-        assert cache.lookup("c", 0) is not None
+        assert cache.lookup("b", catalog) is None
+        assert cache.lookup("a", catalog) is not None
+        assert cache.lookup("c", catalog) is not None
         stats = cache.stats()
         assert stats["size"] == 2
         assert stats["evictions"] == 1
 
     def test_version_mismatch_invalidates(self):
+        catalog = _catalog()
         cache = PlanCache(capacity=4)
-        cache.store("a", _entry(version=3))
-        assert cache.lookup("a", 4) is None
+        cache.store("a", _entry(catalog, tables=("t",)))
+        cache.store("b", _entry(catalog, tables=("u",)))
+        catalog.record_write("t")
+        assert cache.lookup("a", catalog) is None
         assert cache.invalidations == 1
         assert "a" not in cache
+        # Only the entry reading the changed table goes.
+        assert cache.lookup("b", catalog) is not None
 
     def test_invalidate_all(self):
+        catalog = _catalog()
         cache = PlanCache(capacity=4)
-        cache.store("a", _entry())
-        cache.store("b", _entry())
+        cache.store("a", _entry(catalog))
+        cache.store("b", _entry(catalog))
         assert cache.invalidate_all() == 2
         assert len(cache) == 0
         assert cache.invalidations == 2
@@ -207,8 +228,19 @@ class TestInvalidation:
 
     def test_ddl_invalidates(self, db):
         self._prime(db)
+        # DDL on a table the plan never reads leaves it cached ...
         db.catalog.drop_table("part")
-        assert not db.run(JOIN_SQL).plan_cache_hit
+        assert db.run(JOIN_SQL).plan_cache_hit
+        # ... DDL on one it reads drops it, even when the table comes
+        # back under the same name with the same rows.
+        schema = db.catalog.table("customer")
+        rows = list(db.storage.heap("customer").rows)
+        db.storage.drop_table("customer")
+        db.create_table(schema)
+        db.load("customer", rows)
+        result = db.run(JOIN_SQL)
+        assert not result.plan_cache_hit
+        assert db.run(JOIN_SQL).plan_cache_hit
 
     def test_stale_entry_serves_fresh_rows_after_dml(self, db):
         """The end-to-end correctness story: cached plan + DML + re-run
